@@ -273,28 +273,39 @@ func BenchmarkAuthenticate(b *testing.B) {
 	}
 }
 
+// freshBlock signs block blockID for a verify benchmark iteration. Public
+// keys remember the signatures they have proven, so re-verifying one block
+// every iteration would measure memo hits; a fresh block ID gives fresh
+// signatures and keeps every iteration a cold receiver.
+func freshBlock(b *testing.B, s scheme.Scheme, blockID uint64, payloads [][]byte) []*packet.Packet {
+	b.Helper()
+	pkts, err := s.Authenticate(blockID, payloads)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pkts
+}
+
 // BenchmarkVerify measures receiver-side cost per block with in-order
-// delivery and no loss.
+// delivery and no loss, for a receiver that has seen none of the block's
+// signatures before.
 func BenchmarkVerify(b *testing.B) {
 	for _, name := range []string{"rohatgi", "emss", "augchain", "authtree", "signeach", "tesla"} {
 		b.Run(name, func(b *testing.B) {
 			s := benchScheme(b, name)
 			payloads := benchPayloads(s.BlockSize(), 512)
-			pkts, err := s.Authenticate(1, payloads)
-			if err != nil {
-				b.Fatal(err)
-			}
-			at := make([]time.Time, len(pkts))
-			for w := range pkts {
+			at := make([]time.Time, s.WireCount())
+			for w := range at {
 				at[w] = time.Unix(0, 0).Add(time.Duration(w)*time.Millisecond + time.Microsecond)
 			}
 			b.SetBytes(int64(s.BlockSize() * 512))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Verifier construction is setup, not the measured
-				// receiver-side verification cost.
+				// Signing and verifier construction are setup, not the
+				// measured receiver-side verification cost.
 				b.StopTimer()
+				pkts := freshBlock(b, s, uint64(i)+1, payloads)
 				v, err := s.NewVerifier()
 				if err != nil {
 					b.Fatal(err)
@@ -321,12 +332,8 @@ func BenchmarkVerifySpanOverhead(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			s := benchScheme(b, "emss")
 			payloads := benchPayloads(s.BlockSize(), 512)
-			pkts, err := s.Authenticate(1, payloads)
-			if err != nil {
-				b.Fatal(err)
-			}
-			at := make([]time.Time, len(pkts))
-			for w := range pkts {
+			at := make([]time.Time, s.WireCount())
+			for w := range at {
 				at[w] = time.Unix(0, 0).Add(time.Duration(w)*time.Millisecond + time.Microsecond)
 			}
 			ring := obs.NewSpanRing(obs.DefaultSpanCapacity)
@@ -335,6 +342,7 @@ func BenchmarkVerifySpanOverhead(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				pkts := freshBlock(b, s, uint64(i)+1, payloads)
 				v, err := s.NewVerifier()
 				if err != nil {
 					b.Fatal(err)
@@ -371,16 +379,14 @@ func BenchmarkVerifyServing(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pkts, err := s.Authenticate(1, benchPayloads(n, 512))
-			if err != nil {
-				b.Fatal(err)
-			}
+			payloads := benchPayloads(n, 512)
 			at := time.Unix(0, 0)
 			b.SetBytes(int64(n * 512))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				pkts := freshBlock(b, s, uint64(i)+1, payloads)
 				v, err := s.NewVerifier()
 				if err != nil {
 					b.Fatal(err)
@@ -407,27 +413,31 @@ func BenchmarkVerifyServing(b *testing.B) {
 			}
 			payloads := benchPayloads(n, 512)
 			// K blocks whose roots share one batch signature — the send
-			// side of the serving daemon.
-			var (
-				blocks   [][]*packet.Packet
-				prs      []*scheme.PendingRoot
-				contents [][]byte
-			)
-			for blk := 1; blk <= k; blk++ {
-				pkts, pr, err := s.AuthenticateDeferred(uint64(blk), payloads)
+			// side of the serving daemon. Each iteration signs K fresh
+			// block IDs, so the shared signature is new to the key.
+			signBlocks := func(first uint64) [][]*packet.Packet {
+				var (
+					blocks   [][]*packet.Packet
+					prs      []*scheme.PendingRoot
+					contents [][]byte
+				)
+				for blk := first; blk < first+uint64(k); blk++ {
+					pkts, pr, err := s.AuthenticateDeferred(blk, payloads)
+					if err != nil {
+						b.Fatal(err)
+					}
+					blocks = append(blocks, pkts)
+					prs = append(prs, pr)
+					contents = append(contents, pr.Content)
+				}
+				blobs, err := crypto.BatchSign(signer, contents)
 				if err != nil {
 					b.Fatal(err)
 				}
-				blocks = append(blocks, pkts)
-				prs = append(prs, pr)
-				contents = append(contents, pr.Content)
-			}
-			blobs, err := crypto.BatchSign(signer, contents)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i, pr := range prs {
-				pr.Attach(blobs[i])
+				for i, pr := range prs {
+					pr.Attach(blobs[i])
+				}
+				return blocks
 			}
 			at := time.Unix(0, 0)
 			b.SetBytes(int64(k * n * 512))
@@ -435,6 +445,7 @@ func BenchmarkVerifyServing(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				blocks := signBlocks(uint64(i*k) + 1)
 				rcv, err := stream.NewReceiver(s, k+1)
 				if err != nil {
 					b.Fatal(err)

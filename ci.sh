@@ -14,6 +14,10 @@ go build ./...
 # -shuffle=on randomizes test and subtest order so inter-test state
 # dependencies cannot hide; failures print the seed to reproduce.
 go test -race -shuffle=on ./...
+# Stress tier: the NACK/repair round trips race real sockets against their
+# own counters; fifty repeats under the race detector surface timing flakes
+# before merge instead of as one-in-fifty tier-1 failures.
+go test -race -count=50 -run 'NACK|Repair' ./internal/transport
 
 # Robustness tier: a short seeded chaos soak under the race detector, then
 # a fuzz smoke pass over the two attacker-facing decoders.

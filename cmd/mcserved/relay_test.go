@@ -231,7 +231,7 @@ func TestRelayServesDownstream(t *testing.T) {
 	if cv.forged > 0 {
 		t.Fatalf("%d forged authentications through the relay", cv.forged)
 	}
-	if relay.rn.repairs == 0 {
+	if relay.rn.repairs.Load() == 0 {
 		t.Error("relay served no repairs")
 	}
 	if relay.rn.forwarded == 0 {
@@ -285,7 +285,7 @@ func TestRelayChaosSoak(t *testing.T) {
 		relay := startTestRelay(t, o, reg, tel, upstreamAddr, relayAddr, nil)
 		time.Sleep(400 * time.Millisecond)
 		relay.kill(t)
-		catchupTotal += relay.rn.catchup
+		catchupTotal += relay.rn.catchup.Load()
 		// Downtime before the next incarnation: the receiver backs off and
 		// falls behind the still-publishing daemon, and the restarted relay
 		// refills its cold store from upstream before the receiver's resume
@@ -301,7 +301,7 @@ func TestRelayChaosSoak(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	close(recvStop)
 	relay.kill(t)
-	catchupTotal += relay.rn.catchup
+	catchupTotal += relay.rn.catchup.Load()
 	if err := <-recvDone; err != nil {
 		t.Fatalf("receiver: %v", err)
 	}

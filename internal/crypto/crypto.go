@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 )
 
@@ -103,11 +104,24 @@ type Verifier interface {
 
 type ed25519Signer struct {
 	priv ed25519.PrivateKey
+	pub  *ed25519Verifier // shared by every Public() caller
 }
 
+// ed25519Verifier is a public key plus a memo of the checks that already
+// succeeded under it. Every verifier handed out by one signer's Public()
+// is this one value, so all receivers of a scheme share the memo: one
+// Ed25519 check serves every packet and receiver carrying the same
+// signature.
 type ed25519Verifier struct {
 	pub ed25519.PublicKey
+	// memo is nil until the first successful check, so a key that never
+	// verifies anything costs nothing.
+	memo atomic.Pointer[SigCache]
 }
+
+// keyMemoSize bounds each key's memo at 2*keyMemoSize proven checks: one
+// full batch-signature flush's worth per generation.
+const keyMemoSize = MaxBatch
 
 var (
 	_ Signer   = (*ed25519Signer)(nil)
@@ -121,7 +135,12 @@ func NewSigner(seed []byte) (Signer, error) {
 	if len(seed) != ed25519.SeedSize {
 		return nil, fmt.Errorf("crypto: signer seed must be %d bytes, got %d", ed25519.SeedSize, len(seed))
 	}
-	return &ed25519Signer{priv: ed25519.NewKeyFromSeed(seed)}, nil
+	priv := ed25519.NewKeyFromSeed(seed)
+	pub, ok := priv.Public().(ed25519.PublicKey)
+	if !ok {
+		panic("crypto: ed25519 private key with non-ed25519 public key")
+	}
+	return &ed25519Signer{priv: priv, pub: &ed25519Verifier{pub: pub}}, nil
 }
 
 // NewSignerFromString derives a signer from an arbitrary-length string by
@@ -146,18 +165,47 @@ func (s *ed25519Signer) Sign(data []byte) []byte {
 	return ed25519.Sign(s.priv, data)
 }
 
-func (s *ed25519Signer) Public() Verifier {
-	pub, ok := s.priv.Public().(ed25519.PublicKey)
-	if !ok {
-		panic("crypto: ed25519 private key with non-ed25519 public key")
-	}
-	return &ed25519Verifier{pub: pub}
-}
+func (s *ed25519Signer) Public() Verifier { return s.pub }
 
+// Verify consults the key's memo before running Ed25519. Only successes
+// are memoized, keyed by (public key, SHA-256 of data, signature bytes),
+// so a hit is exactly as strong as the check it replays; a failing or
+// forged signature misses every time and pays a real verify.
 func (v *ed25519Verifier) Verify(data, sig []byte) bool {
 	if len(sig) != ed25519.SignatureSize {
 		return false
 	}
+	k := v.memoKey(data, sig)
+	if m := v.memo.Load(); m != nil && m.seen(k) {
+		return true
+	}
+	if !v.verify(data, sig) {
+		return false
+	}
+	m := v.memo.Load()
+	if m == nil {
+		m = newSigCache(keyMemoSize)
+		if !v.memo.CompareAndSwap(nil, m) {
+			m = v.memo.Load()
+		}
+	}
+	m.store(k)
+	return true
+}
+
+// memoKey binds a check to this key, the message digest and the
+// signature. The digest is taken directly rather than through HashBytes:
+// memo bookkeeping is not a protocol hash and must not count in
+// crypto.hash_ops.
+func (v *ed25519Verifier) memoKey(data, sig []byte) sigKey {
+	k := sigKey{msg: sha256.Sum256(data)}
+	copy(k.pub[:], v.pub)
+	copy(k.sig[:], sig)
+	return k
+}
+
+// verify runs the real Ed25519 check; crypto.verify_ops counts only these.
+func (v *ed25519Verifier) verify(data, sig []byte) bool {
 	if in := instr.Load(); in != nil {
 		start := time.Now()
 		ok := ed25519.Verify(v.pub, data, sig)

@@ -81,7 +81,11 @@ func NewSigCache(max int) (*SigCache, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("crypto: sig cache size %d must be >= 1", max)
 	}
-	return &SigCache{max: max, cur: make(map[sigKey]struct{})}, nil
+	return newSigCache(max), nil
+}
+
+func newSigCache(max int) *SigCache {
+	return &SigCache{max: max, cur: make(map[sigKey]struct{})}
 }
 
 // seen reports whether the check previously succeeded, promoting hits

@@ -7,6 +7,16 @@
 // emerges naturally from delay jitter), and fed to the scheme's verifier.
 // Receivers run concurrently.
 //
+// Receivers share two things: the sender plan (the block is signed and
+// encoded once per run) and proven signatures — every verifier a scheme
+// builds holds the signer's one public key, and that key remembers the
+// checks that succeeded, so each distinct signature costs one Ed25519
+// verify per run, not one per receiver. They never share authentication
+// state: each receiver has its own verifier, its own buffers and its own
+// arrivals, so its verifiable set depends only on what it received. A
+// memo hit replays exactly a check that already passed, which is why a
+// rerun on a warm key returns the same Result bit for bit.
+//
 // It substitutes for the paper's unavailable testbed (the Internet): the
 // loss and delay models are exactly the ones the paper's analysis assumes,
 // which is what makes measured-vs-analytic comparison meaningful.
@@ -513,7 +523,7 @@ func runReceiver(
 		inj = in
 	}
 	received := lossModel.Sample(rng, len(pkts))
-	var arrivals []arrival
+	arrivals := make([]arrival, 0, len(pkts))
 	for w, p := range pkts {
 		if w+1 < joinAt {
 			drop(w, p, "late_join")
@@ -594,7 +604,9 @@ func runReceiver(
 	if bb, ok := v.(scheme.BufferBounded); ok && cfg.MaxBuffered > 0 {
 		bb.SetMaxBuffered(cfg.MaxBuffered)
 	}
-	arrivedAt := make(map[uint32]time.Time, len(arrivals))
+	// arrivedAt[i] is the latest genuine arrival of index i, valid where
+	// report.ReceivedByIndex[i] is set.
+	arrivedAt := make([]time.Time, len(report.ReceivedByIndex))
 	maxWireSeen := -1
 	for _, a := range arrivals {
 		p := a.p
@@ -661,8 +673,8 @@ func runReceiver(
 			if int(e.Index) < len(report.VerifiedByIndex) {
 				report.VerifiedByIndex[e.Index] = true
 			}
-			if t0, ok := arrivedAt[e.Index]; ok {
-				report.AuthLatencies = append(report.AuthLatencies, a.at.Sub(t0))
+			if report.Received(e.Index) {
+				report.AuthLatencies = append(report.AuthLatencies, a.at.Sub(arrivedAt[e.Index]))
 			}
 		}
 	}

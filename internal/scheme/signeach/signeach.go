@@ -40,10 +40,10 @@ func New(n int, signer crypto.Signer) (*SignEach, error) {
 // construction): packets are signed in runs of k, so each packet carries
 // a self-contained batch signature blob instead of a plain signature and
 // one signing operation amortizes over k packets. Receivers verify each
-// blob independently (robustness is unchanged); with a signature cache
-// the underlying public-key check also amortizes k-fold on the receive
-// side, which is the realistic serving configuration the K=16/64 verify
-// benchmarks measure.
+// blob independently (robustness is unchanged); the public key's memo of
+// proven checks amortizes the underlying public-key check k-fold on the
+// receive side, which is the realistic serving configuration the K=16/64
+// verify benchmarks measure.
 func NewBatched(n, k int, signer crypto.Signer) (*SignEach, error) {
 	s, err := New(n, signer)
 	if err != nil {
@@ -135,14 +135,7 @@ func (s *SignEach) Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Pa
 
 // NewVerifier implements Scheme.
 func (s *SignEach) NewVerifier() (scheme.Verifier, error) {
-	// The signature cache only pays off for batch blobs (plain per-packet
-	// signatures never repeat an underlying check), but it is cheap and
-	// lets one verifier accept either form.
-	sig, err := crypto.NewSigCache(crypto.MaxBatch)
-	if err != nil {
-		return nil, err
-	}
-	return &signEachVerifier{n: s.n, pub: s.signer.Public(), sig: sig}, nil
+	return &signEachVerifier{n: s.n, pub: s.signer.Public()}, nil
 }
 
 type signEachVerifier struct {
@@ -152,9 +145,8 @@ type signEachVerifier struct {
 	stats     verifier.Stats
 
 	// Receiver fast path: content staging and blob path walks reuse
-	// scratch, and the underlying public-key check of each batch blob is
-	// cached, so the K packets of one MABS batch cost one Ed25519 verify.
-	sig     *crypto.SigCache
+	// scratch. The public key remembers the checks it has proven, so the
+	// K packets of one MABS batch cost one Ed25519 verify.
 	vs      crypto.VerifyScratch
 	content []byte
 
@@ -256,7 +248,7 @@ func (sv *signEachVerifier) Ingest(p *packet.Packet, _ time.Time) ([]verifier.Ev
 		})
 		return nil, nil
 	}
-	if !crypto.VerifyAnyCached(sv.sig, &sv.vs, sv.pub, sv.content, p.Signature) {
+	if !crypto.VerifyAnyCached(nil, &sv.vs, sv.pub, sv.content, p.Signature) {
 		sv.stats.Rejected++
 		return nil, nil
 	}

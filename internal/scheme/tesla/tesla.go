@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mcauth/internal/crypto"
@@ -304,9 +305,11 @@ type teslaVerifier struct {
 	keyBuf    [crypto.KeySize]byte
 	// events is the per-Ingest result buffer, reused across calls (every
 	// caller consumes the returned slice before ingesting again); pendPool
-	// recycles the per-interval pending slices absorbKey releases.
+	// recycles the per-interval pending slices absorbKey releases, and
+	// release is absorbKey's interval scratch.
 	events   []verifier.Event
 	pendPool [][]pendingPacket
+	release  []int
 
 	cache    *verifier.SharedCache
 	streamID uint64
@@ -620,10 +623,17 @@ func (tv *teslaVerifier) absorbKey(idx int, key []byte, at time.Time) {
 	tv.bestIdx = idx
 	tv.bestKey = append(tv.bestKey[:0], key...)
 
-	for interval, pends := range tv.buffered {
-		if interval > idx {
-			continue
+	// Release in interval order, not map order, so a disclosure that
+	// unlocks several intervals authenticates in the same order every run.
+	tv.release = tv.release[:0]
+	for interval := range tv.buffered {
+		if interval <= idx {
+			tv.release = append(tv.release, interval)
 		}
+	}
+	slices.Sort(tv.release)
+	for _, interval := range tv.release {
+		pends := tv.buffered[interval]
 		for _, pend := range pends {
 			tv.verifyData(pend, at)
 		}

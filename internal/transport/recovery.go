@@ -306,12 +306,18 @@ func (rr *RepairResponder) loop() {
 			if err != nil {
 				continue
 			}
-			if _, err := rr.conn.WriteTo(wire, from); err == nil {
-				rr.served.Add(1)
-				rr.mu.Lock()
-				rr.m.countRepairServed()
-				rr.mu.Unlock()
+			// Count before the write: on loopback the repair can be
+			// received and authenticated before WriteTo returns, and
+			// Served must never lag the effect it reports. The registry
+			// counter must stay monotonic, so it counts completed writes.
+			rr.served.Add(1)
+			if _, err := rr.conn.WriteTo(wire, from); err != nil {
+				rr.served.Add(-1)
+				continue
 			}
+			rr.mu.Lock()
+			rr.m.countRepairServed()
+			rr.mu.Unlock()
 		}
 	}
 }
@@ -419,8 +425,12 @@ func (l *Listener) nackLoop(cfg NACKConfig) {
 			if st.attempts >= cfg.MaxAttempts || now.Before(st.nextAt) {
 				continue
 			}
-			if _, err := l.conn.WriteTo(EncodeNACK(id, NACKSigRequest), cfg.Sender); err == nil {
-				l.nacksSent.Add(1)
+			// Count before the write, like RepairResponder: the repair
+			// this NACK triggers can land before WriteTo returns.
+			l.nacksSent.Add(1)
+			if _, err := l.conn.WriteTo(EncodeNACK(id, NACKSigRequest), cfg.Sender); err != nil {
+				l.nacksSent.Add(-1)
+			} else {
 				m.countNACKSent()
 			}
 			st.attempts++

@@ -129,15 +129,29 @@ type bufferedPacket struct {
 	arrived time.Time
 }
 
+// slot is the engine's state for one packet index.
+type slot struct {
+	digest    crypto.Digest  // proven-authentic digest; valid when trusted
+	buffered  bufferedPacket // message-buffer entry; empty when p is nil
+	trusted   bool
+	authentic bool
+}
+
 // Chained verifies one block of a hash-chained scheme.
 type Chained struct {
 	blockID uint64
 	n       uint32
 	pub     crypto.Verifier
 
-	trusted     map[uint32]crypto.Digest // digests proven authentic, by index
-	buffered    map[uint32]bufferedPacket
-	authentic   map[uint32]bool
+	// slots is indexed by packet index 1..n (slot 0 unused). The two
+	// running counts are the paper's two receiver buffers: packets held
+	// awaiting authentication information, and trusted digests whose
+	// packets have not authenticated yet.
+	slots         []slot
+	nBuffered     int
+	pendingHashes int
+	queue         []*packet.Packet // accept's cascade scratch
+
 	maxBuffered int // 0 = unbounded
 	stats       Stats
 
@@ -173,12 +187,10 @@ func NewChained(blockID uint64, n int, pub crypto.Verifier, opts ...Option) (*Ch
 		return nil, errors.New("verifier: nil public key")
 	}
 	v := &Chained{
-		blockID:   blockID,
-		n:         uint32(n),
-		pub:       pub,
-		trusted:   make(map[uint32]crypto.Digest),
-		buffered:  make(map[uint32]bufferedPacket),
-		authentic: make(map[uint32]bool),
+		blockID: blockID,
+		n:       uint32(n),
+		pub:     pub,
+		slots:   make([]slot, n+1),
 	}
 	for _, o := range opts {
 		o.apply(v)
@@ -272,7 +284,8 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 		return nil, fmt.Errorf("verifier: index %d out of [1,%d]", p.Index, v.n)
 	}
 	v.stats.Received++
-	if _, dup := v.buffered[p.Index]; v.authentic[p.Index] || dup {
+	s := &v.slots[p.Index]
+	if s.authentic || s.buffered.p != nil {
 		v.stats.Duplicates++
 		v.m.countDuplicate()
 		return nil, nil
@@ -302,31 +315,31 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 		}
 		events = v.accept(p, at)
 	default:
-		want, ok := v.trusted[p.Index]
-		if !ok {
-			if v.maxBuffered > 0 && len(v.buffered)+v.stats.PendingSignature >= v.maxBuffered {
+		if !s.trusted {
+			if v.maxBuffered > 0 && v.nBuffered+v.stats.PendingSignature >= v.maxBuffered {
 				v.stats.DroppedOverflow++
 				v.m.countOverflow()
 				v.emit(obs.Event{
 					Type: obs.EventOverflowDropped, Index: p.Index,
-					Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: len(v.buffered),
+					Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: v.nBuffered,
 				})
 				return nil, nil
 			}
-			v.buffered[p.Index] = bufferedPacket{p: p, arrived: at}
-			if len(v.buffered) > v.stats.MsgBufferHighWater {
-				v.stats.MsgBufferHighWater = len(v.buffered)
+			s.buffered = bufferedPacket{p: p, arrived: at}
+			v.nBuffered++
+			if v.nBuffered > v.stats.MsgBufferHighWater {
+				v.stats.MsgBufferHighWater = v.nBuffered
 				if v.m != nil {
-					v.m.msgHighWater.Observe(int64(len(v.buffered)))
+					v.m.msgHighWater.Observe(int64(v.nBuffered))
 				}
 			}
 			v.emit(obs.Event{
 				Type: obs.EventMsgBuffered, Index: p.Index,
-				Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: len(v.buffered),
+				Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: v.nBuffered,
 			})
 			return nil, nil
 		}
-		if v.digestOf(p) != want {
+		if v.digestOf(p) != s.digest {
 			v.reject(p, at, "digest_mismatch")
 			return nil, nil
 		}
@@ -340,12 +353,12 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 // like any buffered packet (pending-signature floods are attacker
 // reachable).
 func (v *Chained) deferSignature(p *packet.Packet, at time.Time) {
-	if v.maxBuffered > 0 && len(v.buffered)+v.stats.PendingSignature >= v.maxBuffered {
+	if v.maxBuffered > 0 && v.nBuffered+v.stats.PendingSignature >= v.maxBuffered {
 		v.stats.DroppedOverflow++
 		v.m.countOverflow()
 		v.emit(obs.Event{
 			Type: obs.EventOverflowDropped, Index: p.Index,
-			Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: len(v.buffered),
+			Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: v.nBuffered,
 		})
 		return
 	}
@@ -354,7 +367,7 @@ func (v *Chained) deferSignature(p *packet.Packet, at time.Time) {
 	v.span(obs.SpanDeferredPark, p.Index, at, 0, "")
 	v.emit(obs.Event{
 		Type: obs.EventMsgBuffered, Index: p.Index,
-		Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: len(v.buffered) + v.stats.PendingSignature,
+		Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: v.nBuffered + v.stats.PendingSignature,
 	})
 	// The verdict callback may run synchronously (threshold reached) or
 	// from a later Resolve on the ingest goroutine.
@@ -372,7 +385,7 @@ func (v *Chained) deferSignature(p *packet.Packet, at time.Time) {
 func (v *Chained) resolveSignature(p *packet.Packet, arrived time.Time, ok bool) {
 	v.unparkPending(p)
 	v.span(obs.SpanSigResolve, p.Index, arrived, 0, "")
-	if v.authentic[p.Index] {
+	if v.slots[p.Index].authentic {
 		// Another copy of the signature packet (or a cascade) got there
 		// first.
 		v.stats.Duplicates++
@@ -420,7 +433,11 @@ func (v *Chained) reject(p *packet.Packet, at time.Time, reason string) {
 // authenticate records one successful authentication at time `at` of a
 // packet that arrived at `arrived`.
 func (v *Chained) authenticate(p *packet.Packet, arrived, at time.Time) {
-	v.authentic[p.Index] = true
+	s := &v.slots[p.Index]
+	if s.trusted && !s.authentic {
+		v.pendingHashes--
+	}
+	s.authentic = true
 	v.stats.Authenticated++
 	if v.cache != nil {
 		v.cache.MarkAuthentic(v.streamID, p.BlockID, v.cache.DigestOf(p))
@@ -447,20 +464,27 @@ func (v *Chained) authenticate(p *packet.Packet, arrived, at time.Time) {
 func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
 	events := []Event{{Index: p.Index, Payload: p.Payload}}
 	v.authenticate(p, at, at)
-	delete(v.buffered, p.Index)
+	v.unbuffer(p.Index)
 
-	queue := []*packet.Packet{p}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, h := range cur.Hashes {
-			if _, known := v.trusted[h.TargetIndex]; known {
+	v.queue = append(v.queue[:0], p)
+	for head := 0; head < len(v.queue); head++ {
+		for _, h := range v.queue[head].Hashes {
+			// A carried hash can only name a packet of this block; anything
+			// else is ignored rather than trusted.
+			if h.TargetIndex < 1 || h.TargetIndex > v.n {
 				continue
 			}
-			v.trusted[h.TargetIndex] = h.Digest
-			waiting, ok := v.buffered[h.TargetIndex]
-			if !ok {
-				if !v.authentic[h.TargetIndex] {
+			s := &v.slots[h.TargetIndex]
+			if s.trusted {
+				continue
+			}
+			s.trusted, s.digest = true, h.Digest
+			if !s.authentic {
+				v.pendingHashes++
+			}
+			waiting := s.buffered
+			if waiting.p == nil {
+				if !s.authentic {
 					v.emit(obs.Event{
 						Type: obs.EventHashBuffered, Index: h.TargetIndex,
 						Block: p.BlockID, TimeNS: obs.TimeNS(at),
@@ -470,31 +494,30 @@ func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
 			}
 			if v.digestOf(waiting.p) != h.Digest {
 				v.reject(waiting.p, at, "digest_mismatch")
-				delete(v.buffered, h.TargetIndex)
+				v.unbuffer(h.TargetIndex)
 				continue
 			}
 			v.authenticate(waiting.p, waiting.arrived, at)
-			delete(v.buffered, waiting.p.Index)
+			v.unbuffer(h.TargetIndex)
 			events = append(events, Event{Index: waiting.p.Index, Payload: waiting.p.Payload})
-			queue = append(queue, waiting.p)
+			v.queue = append(v.queue, waiting.p)
 		}
 	}
-	v.updateHashHighWater()
+	clear(v.queue) // drop packet references held by the scratch
+	if v.pendingHashes > v.stats.HashBufferHighWater {
+		v.stats.HashBufferHighWater = v.pendingHashes
+		if v.m != nil {
+			v.m.hashHighWater.Observe(int64(v.pendingHashes))
+		}
+	}
 	return events
 }
 
-func (v *Chained) updateHashHighWater() {
-	pendingHashes := 0
-	for idx := range v.trusted {
-		if !v.authentic[idx] {
-			pendingHashes++
-		}
-	}
-	if pendingHashes > v.stats.HashBufferHighWater {
-		v.stats.HashBufferHighWater = pendingHashes
-		if v.m != nil {
-			v.m.hashHighWater.Observe(int64(pendingHashes))
-		}
+// unbuffer empties index's message-buffer entry, if any.
+func (v *Chained) unbuffer(index uint32) {
+	if s := &v.slots[index]; s.buffered.p != nil {
+		s.buffered = bufferedPacket{}
+		v.nBuffered--
 	}
 }
 
@@ -528,10 +551,12 @@ func (m *metrics) countOverflow() {
 }
 
 // IsAuthentic reports whether the packet at index has been authenticated.
-func (v *Chained) IsAuthentic(index uint32) bool { return v.authentic[index] }
+func (v *Chained) IsAuthentic(index uint32) bool {
+	return index >= 1 && index <= v.n && v.slots[index].authentic
+}
 
 // PendingCount returns the number of packets still buffered unverified.
-func (v *Chained) PendingCount() int { return len(v.buffered) }
+func (v *Chained) PendingCount() int { return v.nBuffered }
 
 // Stats returns a snapshot of the verifier's counters.
 func (v *Chained) Stats() Stats { return v.stats }

@@ -269,3 +269,36 @@ func TestBufferCapValidation(t *testing.T) {
 		t.Error("negative cap should fail")
 	}
 }
+
+// TestOutOfRangeHashTargetsIgnored: a carried hash naming an index
+// outside the block is neither trusted nor counted in the hash buffer.
+func TestOutOfRangeHashTargetsIgnored(t *testing.T) {
+	signer := crypto.NewSignerFromString("s")
+	pkts := buildChain(t, signer, 1)
+	root := pkts[0]
+	root.Hashes = append(root.Hashes,
+		packet.HashRef{TargetIndex: 0},
+		packet.HashRef{TargetIndex: 5},
+		packet.HashRef{TargetIndex: 1 << 30},
+	)
+	root.Signature = signer.Sign(root.ContentBytes())
+	v := newVerifier(t, signer, 1, 4)
+	if events := ingest(t, v, root); len(events) != 1 {
+		t.Fatalf("signature packet: events %v", events)
+	}
+	if got := v.PendingHashes(); got != 1 {
+		t.Errorf("pending hashes %d, want 1 (only P2's digest)", got)
+	}
+	if st := v.Stats(); st.HashBufferHighWater != 1 {
+		t.Errorf("hash buffer high water %d, want 1", st.HashBufferHighWater)
+	}
+	if v.IsAuthentic(0) || v.IsAuthentic(5) {
+		t.Error("out-of-range index reported authentic")
+	}
+	for _, p := range pkts[1:] {
+		ingest(t, v, p)
+	}
+	if st := v.Stats(); st.Authenticated != 4 || v.PendingHashes() != 0 {
+		t.Errorf("authenticated %d, pending hashes %d; want 4, 0", st.Authenticated, v.PendingHashes())
+	}
+}
