@@ -18,6 +18,9 @@ go test -race -shuffle=on ./...
 # own counters; fifty repeats under the race detector surface timing flakes
 # before merge instead of as one-in-fifty tier-1 failures.
 go test -race -count=50 -run 'NACK|Repair' ./internal/transport
+# The serving tier's counters race its shard goroutines the same way:
+# twenty repeats of the server package under the race detector.
+go test -race -count=20 ./internal/server
 
 # Robustness tier: a short seeded chaos soak under the race detector, then
 # a fuzz smoke pass over the two attacker-facing decoders.
@@ -57,7 +60,7 @@ go test -run='^$' -bench=. -benchtime=1x . >/dev/null
 # count with allocs/op ceilings. The ceilings mirror
 # lab/baselines.json bench_alloc_ceilings but fire pre-commit, without
 # needing a committed snapshot.
-go test -count=1 -run='AllocFree|SteadyState' ./internal/crypto
+go test -count=1 -run='AllocFree|SteadyState' ./internal/crypto ./internal/packet
 go test -run='^$' -bench='BenchmarkVerify($|/)' -benchtime=100x -benchmem . \
 	| awk '
 		/^BenchmarkVerify/ {

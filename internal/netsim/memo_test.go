@@ -120,3 +120,80 @@ func TestRunMemoHotSkipsSignatureChecks(t *testing.T) {
 	}
 	t.Fatal("conformance suite has no signeach case")
 }
+
+// TestRunMemoHotSkipsChainWalks shows the TESLA half of the sharing: once
+// one run has proven a block's chain keys and MAC keys, a rerun's only
+// HMAC work is each receiver's own MAC check of the data packets it
+// authenticates — no PRF chain steps and no MAC-key derivations.
+func TestRunMemoHotSkipsChainWalks(t *testing.T) {
+	cases, err := conformance.Suite(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := loss.NewBernoulli(0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		if c.Name != "tesla" {
+			continue
+		}
+		cfg := netsim.Config{
+			Receivers:       100,
+			Loss:            model,
+			Delay:           delay.Constant{D: time.Millisecond},
+			SendInterval:    c.SendInterval,
+			Start:           c.Start,
+			Seed:            9,
+			ReliableIndices: c.ReliableIndices,
+		}
+		payloads := schemetest.Payloads(c.Scheme.BlockSize())
+		macOps := func(fn func()) int64 {
+			reg := obs.NewRegistry()
+			crypto.Instrument(reg)
+			defer crypto.Uninstrument()
+			fn()
+			return reg.Snapshot().Counters["crypto.mac_ops"]
+		}
+		// Run signs the block first; that sender-side work is the same in
+		// every run and is not the receivers'.
+		signOps := macOps(func() {
+			if _, err := c.Scheme.Authenticate(1, payloads); err != nil {
+				t.Fatal(err)
+			}
+		})
+		run := func() (*netsim.Result, int64) {
+			var res *netsim.Result
+			ops := macOps(func() {
+				var err error
+				if res, err = netsim.Run(c.Scheme, cfg, 1, payloads); err != nil {
+					t.Fatal(err)
+				}
+			})
+			return res, ops - signOps
+		}
+		cold, coldOps := run()
+		hot, hotOps := run()
+		if !reflect.DeepEqual(cold, hot) {
+			t.Fatal("memo-hot run differs from the cold run")
+		}
+		// Wire index 1 is the bootstrap; every verified index after it is
+		// a data packet that passed one MAC check.
+		var macChecks int64
+		for _, rep := range hot.PerReceiver {
+			for i := 2; i < len(rep.VerifiedByIndex); i++ {
+				if rep.VerifiedByIndex[i] {
+					macChecks++
+				}
+			}
+		}
+		if macChecks == 0 || hotOps != macChecks {
+			t.Errorf("memo-hot run: %d HMAC ops, want exactly the %d data-packet MAC checks", hotOps, macChecks)
+		}
+		if coldOps <= hotOps {
+			t.Errorf("cold run: %d HMAC ops, want more than the hot run's %d (chain walks and derivations)", coldOps, hotOps)
+		}
+		return
+	}
+	t.Fatal("conformance suite has no tesla case")
+}

@@ -94,10 +94,21 @@ func (p *Packet) appendContent(buf []byte) []byte {
 	return buf
 }
 
+// digestBufSize is the stack buffer Digest encodes into: a packet with a
+// 512-byte payload and a dozen carried hashes fits, so the chained
+// verifiers' per-packet digest allocates nothing. Larger content takes one
+// exact-size heap allocation, as ContentBytes does.
+const digestBufSize = 1024
+
 // Digest returns the SHA-256 digest of the authenticated content; this is
 // the value other packets carry to realize dependence edges.
 func (p *Packet) Digest() crypto.Digest {
-	return crypto.HashBytes(p.ContentBytes())
+	var buf [digestBufSize]byte
+	content := buf[:0]
+	if n := p.contentSize(); n > digestBufSize {
+		content = make([]byte, 0, n)
+	}
+	return crypto.HashBytes(p.appendContent(content))
 }
 
 // HashFor returns the carried digest for target index, if present.

@@ -327,15 +327,21 @@ func (s *Server) Publish(id uint64, payload []byte) error {
 	case <-s.closing:
 		return ErrClosed
 	}
+	// Count before dispatch: once the shard has the message it can emit and
+	// deliver the block before dispatch returns, and a subscriber must never
+	// hold more messages than Published reports. A refused dispatch undoes
+	// the count. The registry counters stay monotonic, so they count only
+	// accepted publishes.
+	st.published.Add(1)
 	if !s.dispatch(st, func() {
 		defer func() { <-st.tokens }()
 		st.process(payload)
 	}) {
 		<-st.tokens
+		st.published.Add(-1)
 		return ErrClosed
 	}
 	s.m.published.Inc()
-	st.published.Add(1)
 	st.m.published.Inc()
 	return nil
 }

@@ -489,3 +489,51 @@ func TestSubscriberFilter(t *testing.T) {
 		t.Fatal("filtered subscriber saw nothing from stream 1")
 	}
 }
+
+// TestPublishedNeverLagsDeliveries pins that Published counts a message
+// before the shard can deliver it: every subscriber observation reads
+// Published at or above the messages already received. Single-packet
+// signeach blocks are emitted the moment the shard processes the publish.
+func TestPublishedNeverLagsDeliveries(t *testing.T) {
+	const msgs = 2000
+	key := crypto.NewSignerFromString("published-order")
+	srv, err := New(Config{Signer: key, FlushInterval: time.Second, MaxSubscriberQueue: 2 * msgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := srv.Subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.OpenStream(1, func(signer crypto.Signer) (scheme.Scheme, error) {
+		return signeach.New(1, signer)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stream(1)
+	observed := make(chan int64, 1)
+	go func() {
+		var received int64
+		for d := range sub.C() {
+			if len(d.Packet.Payload) == 0 {
+				continue
+			}
+			received++
+			if pub := st.Published(); pub < received {
+				t.Errorf("Published() = %d after receiving %d messages", pub, received)
+			}
+		}
+		observed <- received
+	}()
+	for i := 0; i < msgs; i++ {
+		if err := srv.Publish(1, []byte{byte(i), 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-observed; got != msgs || st.Published() != msgs {
+		t.Errorf("received %d, Published() = %d, want %d each", got, st.Published(), msgs)
+	}
+}
