@@ -244,3 +244,11 @@ func TestCorruptionSweep(t *testing.T) {
 	}
 	schemetest.CorruptionSweep(t, s, schemetest.SweepParams{Reliable: []uint32{12}})
 }
+
+func TestDeferredForgedCopyRejected(t *testing.T) {
+	s, err := New(Config{N: 10, M: 2, D: 1}, crypto.NewSignerFromString("s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemetest.DeferredForgedCopy(t, s)
+}

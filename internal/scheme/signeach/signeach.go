@@ -198,12 +198,15 @@ func (sv *signEachVerifier) accept(p *packet.Packet) []verifier.Event {
 // resolve applies one deferred signature verdict.
 func (sv *signEachVerifier) resolve(p *packet.Packet, ok bool) {
 	sv.stats.PendingSignature--
-	if sv.authentic[p.Index] {
-		sv.stats.Duplicates++
-		return
-	}
+	// A failed check is a rejection even if another copy of the index
+	// authenticated while this one was parked: it was no duplicate when
+	// it arrived, and the synchronous path rejects it too.
 	if !ok {
 		sv.stats.Rejected++
+		return
+	}
+	if sv.authentic[p.Index] {
+		sv.stats.Duplicates++
 		return
 	}
 	events := sv.accept(p)

@@ -134,3 +134,11 @@ func TestCorruptionSweep(t *testing.T) {
 	}
 	schemetest.CorruptionSweep(t, s, schemetest.SweepParams{})
 }
+
+func TestDeferredForgedCopyRejected(t *testing.T) {
+	s, err := New(4, crypto.NewSignerFromString("s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemetest.DeferredForgedCopy(t, s)
+}

@@ -385,15 +385,18 @@ func (v *Chained) deferSignature(p *packet.Packet, at time.Time) {
 func (v *Chained) resolveSignature(p *packet.Packet, arrived time.Time, ok bool) {
 	v.unparkPending(p)
 	v.span(obs.SpanSigResolve, p.Index, arrived, 0, "")
+	// A failed check is a rejection even if the index authenticated
+	// while this copy was parked: it was no duplicate when it arrived,
+	// and the synchronous path rejects it too.
+	if !ok {
+		v.reject(p, arrived, "bad_signature")
+		return
+	}
 	if v.slots[p.Index].authentic {
 		// Another copy of the signature packet (or a cascade) got there
 		// first.
 		v.stats.Duplicates++
 		v.m.countDuplicate()
-		return
-	}
-	if !ok {
-		v.reject(p, arrived, "bad_signature")
 		return
 	}
 	events := v.accept(p, arrived)
